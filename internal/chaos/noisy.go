@@ -3,11 +3,11 @@ package chaos
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"myrtus/internal/mirto"
 	"myrtus/internal/sim"
+	"myrtus/internal/telemetry"
 	"myrtus/internal/tenant"
 )
 
@@ -81,17 +81,7 @@ func (w *noisyWindow) GoodputFrac() float64 {
 	return float64(w.Good) / float64(w.Submitted)
 }
 
-func (w *noisyWindow) p95() float64 {
-	if len(w.lats) == 0 {
-		return 0
-	}
-	sort.Float64s(w.lats)
-	i := int(0.95 * float64(len(w.lats)))
-	if i >= len(w.lats) {
-		i = len(w.lats) - 1
-	}
-	return w.lats[i]
-}
+func (w *noisyWindow) p95() float64 { return telemetry.Quantiles(w.lats, 0.95)[0] }
 
 // NoisyTenantResult is one tenant's full-run and flash-window outcome.
 type NoisyTenantResult struct {

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
@@ -144,60 +145,18 @@ func (r *Report) MTTR() (p50, p95 sim.Time) { return quantiles(r.MTTRSamples) }
 // samples (0, 0 when no restore completed).
 func (r *Report) RTO() (p50, p95 sim.Time) { return quantiles(r.RTOSamples) }
 
-func quantiles(samples []sim.Time) (p50, p95 sim.Time) {
-	n := len(samples)
-	if n == 0 {
-		return 0, 0
-	}
-	s := make([]sim.Time, n)
-	copy(s, samples)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	q := func(f float64) sim.Time {
-		i := int(f * float64(n))
-		if i >= n {
-			i = n - 1
-		}
-		return s[i]
-	}
-	return q(0.50), q(0.95)
+// quantiles returns the nearest-rank p50 and p95 of samples (zeros when
+// there are none).
+func quantiles[T cmp.Ordered](samples []T) (p50, p95 T) {
+	q := telemetry.Quantiles(samples, 0.50, 0.95)
+	return q[0], q[1]
 }
 
 // LatencyQuantiles returns the p50/p95/p99 of the successful-request
 // latency samples (0s when none succeeded).
 func (r *Report) LatencyQuantiles() (p50, p95, p99 sim.Time) {
-	n := len(r.Latencies)
-	if n == 0 {
-		return 0, 0, 0
-	}
-	s := make([]sim.Time, n)
-	copy(s, r.Latencies)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	q := func(f float64) sim.Time {
-		i := int(f * float64(n))
-		if i >= n {
-			i = n - 1
-		}
-		return s[i]
-	}
-	return q(0.50), q(0.95), q(0.99)
-}
-
-func intQuantiles(samples []int) (p50, p95 int) {
-	n := len(samples)
-	if n == 0 {
-		return 0, 0
-	}
-	s := make([]int, n)
-	copy(s, samples)
-	sort.Ints(s)
-	q := func(f float64) int {
-		i := int(f * float64(n))
-		if i >= n {
-			i = n - 1
-		}
-		return s[i]
-	}
-	return q(0.50), q(0.95)
+	q := telemetry.Quantiles(r.Latencies, 0.50, 0.95, 0.99)
+	return q[0], q[1], q[2]
 }
 
 // Attribution returns the accumulated recovery critical-path time per
@@ -268,8 +227,8 @@ func (r *Report) Render() string {
 		r.Suspected, r.Confirmed, r.DetectorRecovered)
 	fmt.Fprintf(&b, "  loop:      iterations=%d replans=%d boosts=%d exec_errors=%d\n",
 		r.LoopIterations, r.Replans, r.Boosts, r.ExecErrors)
-	dp50, dp95 := intQuantiles(r.DeltaCost)
-	fp50, fp95 := intQuantiles(r.FullCost)
+	dp50, dp95 := quantiles(r.DeltaCost)
+	fp50, fp95 := quantiles(r.FullCost)
 	fmt.Fprintf(&b, "  replan_mode: delta=%d full=%d delta_cost_p50=%d delta_cost_p95=%d full_cost_p50=%d full_cost_p95=%d (cost=candidates scored)\n",
 		r.DeltaReplans, r.FullReplans, dp50, dp95, fp50, fp95)
 	fmt.Fprintf(&b, "  breakers:  opens=%d fast_fails=%d\n",

@@ -426,13 +426,3 @@ func (c *Cluster) Members() []NodeID {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-
-// ReplicaRevision returns a given replica's local revision (diagnostics).
-func (c *Cluster) ReplicaRevision(id NodeID) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if st := c.stores[id]; st != nil {
-		return st.Revision()
-	}
-	return -1
-}

@@ -25,6 +25,7 @@ import (
 	"myrtus/internal/continuum"
 	"myrtus/internal/device"
 	"myrtus/internal/sim"
+	"myrtus/internal/telemetry"
 )
 
 // HealthState is a device's position in the escalation state machine.
@@ -608,7 +609,8 @@ func (m *HealthMonitor) ingest(now sim.Time) {
 
 // refreshAggregates recomputes per-class medians of device EWMAs (the
 // peer baseline), the global fallback median, and per-class p95s of
-// recent samples (the hedge-delay reference). Caller holds m.mu.
+// recent samples (the hedge-delay reference) — all nearest-rank, so a
+// median is the upper one. Caller holds m.mu.
 func (m *HealthMonitor) refreshAggregates() {
 	byClass := map[string][]float64{}
 	var all []float64
@@ -622,12 +624,12 @@ func (m *HealthMonitor) refreshAggregates() {
 	}
 	clear(m.classMed)
 	for class, v := range byClass {
-		m.classMed[class] = median(v)
+		m.classMed[class] = telemetry.Quantiles(v, 0.5)[0]
 	}
-	m.globalMed = median(all)
+	m.globalMed = telemetry.Quantiles(all, 0.5)[0]
 	clear(m.classP95)
 	for class, ring := range m.classRing {
-		m.classP95[class] = percentile(ring, 0.95)
+		m.classP95[class] = telemetry.Quantiles(ring, 0.95)[0]
 	}
 }
 
@@ -794,28 +796,4 @@ func (m *HealthMonitor) StateOf(dev string) HealthState {
 		return h.state
 	}
 	return HealthHealthy
-}
-
-// median returns the upper median of v (v is not modified).
-func median(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), v...)
-	sort.Float64s(s)
-	return s[len(s)/2]
-}
-
-// percentile returns the p-quantile of v (v is not modified).
-func percentile(v []float64, p float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), v...)
-	sort.Float64s(s)
-	i := int(p * float64(len(s)))
-	if i >= len(s) {
-		i = len(s) - 1
-	}
-	return s[i]
 }

@@ -680,31 +680,6 @@ func (m *Manager) routeSeconds(from, to string) float64 {
 	return -1
 }
 
-// FlushRouteCache is a no-op kept for compatibility: route invalidation
-// is automatic — topology edits bump an epoch that refreshes the shared
-// all-pairs table before the next read.
-func (m *Manager) FlushRouteCache() {}
-
-// filterTrusted compacts offers in place to those above the trust
-// threshold (the offer buffer is reused across template nodes).
-func (m *Manager) filterTrusted(offers []Offer) []Offer {
-	if m.Goal.TrustThreshold <= 0 {
-		return offers
-	}
-	// With no recorded evidence every reputation is the neutral 0.5, so a
-	// threshold at or below neutral cannot reject anyone.
-	if m.Goal.TrustThreshold <= 0.5 && !m.C.Trust.HasEvidence() {
-		return offers
-	}
-	out := offers[:0]
-	for _, o := range offers {
-		if m.C.Trust.Reputation(o.Device) >= m.Goal.TrustThreshold {
-			out = append(out, o)
-		}
-	}
-	return out
-}
-
 // Execute applies a plan through the deployment proxy: pods are created
 // in each assignment's layer cluster and bound to the chosen device; the
 // Node Manager then configures accelerators and operating points.

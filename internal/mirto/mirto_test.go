@@ -828,23 +828,18 @@ func TestRuntimeAccessors(t *testing.T) {
 	}
 }
 
-func TestFlushRouteCache(t *testing.T) {
+func TestRouteEpochInvalidation(t *testing.T) {
 	c := testContinuum(t)
 	m := NewManager(c, LatencyGoal())
 	if lat := m.routeSeconds("edge-mc-0", "cloud-srv-0"); lat <= 0 {
 		t.Fatalf("route = %v", lat)
 	}
 	// Sever the topology; the epoch bump invalidates the route table, so
-	// the next read sees the edit immediately — no flush needed.
+	// the next read sees the edit immediately.
 	c.Topo.RemoveLink("fog-fmdc-0", "cloud-srv-0")
 	c.Topo.RemoveLink("cloud-srv-0", "fog-fmdc-0")
 	if lat := m.routeSeconds("edge-mc-0", "cloud-srv-0"); lat >= 0 {
 		t.Fatalf("route after cut = %v, want unreachable", lat)
-	}
-	// FlushRouteCache is a retained no-op; calling it must stay harmless.
-	m.FlushRouteCache()
-	if lat := m.routeSeconds("edge-mc-0", "cloud-srv-0"); lat >= 0 {
-		t.Fatalf("flushed route = %v, want unreachable", lat)
 	}
 }
 

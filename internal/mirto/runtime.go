@@ -2,8 +2,10 @@ package mirto
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"myrtus/internal/device"
 	"myrtus/internal/network"
@@ -16,7 +18,9 @@ import (
 // simulated data plane, producing the KPIs (end-to-end latency, energy)
 // that the MAPE-K loop senses. A request flows through the template DAG:
 // each component runs on its assigned device, and inter-component data
-// rides the network fabric with real queuing.
+// rides the network fabric with real queuing. This file holds the wiring
+// and the per-app record; serve.go is the request lifecycle and
+// dispatch.go the device-side concerns of one stage.
 type Runtime struct {
 	engine  *sim.Engine
 	fabric  *network.Fabric
@@ -30,91 +34,106 @@ type Runtime struct {
 	// perturbing any other consumer's draws.
 	retryRNG *sim.RNG
 
-	mu      sync.Mutex
-	plans   map[string]*Plan
-	metrics map[string]*telemetry.Registry
-
-	ok     map[string]*telemetry.Counter
-	failed map[string]*telemetry.Counter
-	// shed counts requests rejected at the door (admission control or the
-	// in-flight bound) — deliberately separate from failed: a shed
-	// request never consumed serve-path capacity.
-	shed map[string]*telemetry.Counter
-	// degraded counts requests served at reduced quality under brownout.
-	degraded map[string]*telemetry.Counter
-	// recent holds each app's sliding window of successful request
-	// latencies; the MAPE-K monitor prefers its p95 over the cumulative
-	// histogram so violations subside once their cause heals.
-	recent map[string]*telemetry.Window
+	mu sync.Mutex
+	// apps holds one record per app name the runtime has been told about.
+	apps map[string]*appState
 
 	// Overload-protection hooks (all optional; wire before serving):
 	// admission gates every submit, breakers fast-fail suspect targets,
-	// maxInFlight bounds concurrent requests per app, brownout holds each
-	// app's current degradation level.
+	// maxInFlight bounds concurrent requests per app.
 	admission *AdmissionController
-	// admitFor overrides the global admission controller per app: the
-	// tenant layer points every app of a tenant at that tenant's own
-	// controller, so a tenant over its carved-out budget sheds only its
-	// own traffic while the others keep their full reserves.
-	admitFor map[string]*AdmissionController
-	breakers *BreakerSet
+	breakers  *BreakerSet
 	// health, when set, observes stage service times for peer-relative
 	// gray-failure scoring and arms hedged dispatches to suspect-slow
 	// devices.
 	health      *HealthMonitor
 	maxInFlight int
-	inflight    map[string]int
-	brownout    map[string]int
-
-	// gates holds each app's intake gate for live migration's
-	// pause-and-flip: while paused, submits are parked (not shed, not
-	// failed) and replayed against the freshly flipped plan on resume.
-	gates map[string]*intakeGate
 
 	// stateStore, when set, receives one apply per (request, stateful
 	// stage) at the stage's finish time; the request's deterministic ID
 	// makes the apply exactly-once across serve-path retries.
 	stateStore *StateStore
-	// reqSeq allocates each app's deterministic request IDs — assigned
-	// once per logical request and reused verbatim by every retry.
-	reqSeq map[string]uint64
 
 	// fence, when set, is the split-brain fencing ledger (fence.go):
 	// Register ensures each stateful stage's ownership token and rejects
 	// plans from a superseded epoch; serve-path applies carry the cell's
 	// current token so a stale writer can never mutate state.
 	fence *FenceLedger
-	// cellTokens caches each stateful cell's current fencing token
-	// (key app + "/" + stage), read at apply time.
-	cellTokens map[string]uint64
-	// epochs records the newest plan epoch accepted per app.
-	epochs map[string]uint64
+}
+
+// appState is everything the runtime holds about one app. A record is
+// created the first time the app is named (Register, or an operator
+// setting that precedes it) and never deleted: Deregister only clears
+// plan, so request IDs, the accepted epoch, telemetry and operator
+// settings carry across undeploy/redeploy and replans. Runtime.mu guards
+// every field except inflight and the telemetry objects, which
+// synchronise themselves. DESIGN.md ("Serve path") lists who writes what.
+type appState struct {
+	plan *Plan // nil while the app is undeployed
+
+	// reg down to recent are created by the first Register and never
+	// replaced. The others are created at first use — latency and energy
+	// by the first admitted request, the retry counters by the first
+	// SubmitWithRetry — because Registry.Export lists whatever exists.
+	reg    *telemetry.Registry
+	ok     *telemetry.Counter
+	failed *telemetry.Counter
+	// shed counts requests rejected at the door (admission control or the
+	// in-flight bound) — deliberately separate from failed: a shed
+	// request never consumed serve-path capacity.
+	shed *telemetry.Counter
+	// degraded counts requests served at reduced quality under brownout.
+	degraded *telemetry.Counter
+	// recent is the sliding window of successful request latencies; the
+	// MAPE-K monitor prefers its p95 over the cumulative histogram so
+	// violations subside once their cause heals.
+	recent                   *telemetry.Window
+	latency                  *telemetry.Histogram
+	energy                   *telemetry.Counter
+	recovered, lost, retries *telemetry.Counter
+
+	// admission overrides the global admission controller: the tenant
+	// layer points every app of a tenant at that tenant's own controller,
+	// so a tenant over its carved-out budget sheds only its own traffic
+	// while the others keep their full reserves.
+	admission *AdmissionController
+	// inflight counts requests past the gates and not yet finished; it is
+	// maintained only while a maxInFlight bound is set.
+	inflight atomic.Int64
+	brownout int        // current degradation level (SetBrownout)
+	gate     intakeGate // live migration's pause-and-flip
+	// reqSeq allocates deterministic request IDs — assigned once per
+	// logical request and reused verbatim by every retry. It only grows:
+	// stateful stages dedup on the ID.
+	reqSeq uint64
+	epoch  uint64 // newest plan epoch Register accepted
+	// tokens caches each stateful stage's current fencing token, written
+	// by Register and RefreshFence and read at apply time.
+	tokens map[string]uint64
 }
 
 // NewRuntime builds a runtime over the manager's continuum.
 func NewRuntime(m *Manager) *Runtime {
 	return &Runtime{
-		engine:     m.C.Engine,
-		fabric:     m.C.Fabric,
-		devices:    m.C.Devices,
-		tracer:     m.C.Tracer,
-		manager:    m,
-		retryRNG:   m.C.Engine.RNG().Fork("mirto/serve-retry"),
-		plans:      map[string]*Plan{},
-		metrics:    map[string]*telemetry.Registry{},
-		ok:         map[string]*telemetry.Counter{},
-		failed:     map[string]*telemetry.Counter{},
-		shed:       map[string]*telemetry.Counter{},
-		degraded:   map[string]*telemetry.Counter{},
-		recent:     map[string]*telemetry.Window{},
-		admitFor:   map[string]*AdmissionController{},
-		gates:      map[string]*intakeGate{},
-		inflight:   map[string]int{},
-		brownout:   map[string]int{},
-		reqSeq:     map[string]uint64{},
-		cellTokens: map[string]uint64{},
-		epochs:     map[string]uint64{},
+		engine:   m.C.Engine,
+		fabric:   m.C.Fabric,
+		devices:  m.C.Devices,
+		tracer:   m.C.Tracer,
+		manager:  m,
+		retryRNG: m.C.Engine.RNG().Fork("mirto/serve-retry"),
+		apps:     map[string]*appState{},
 	}
+}
+
+// state returns app's record, creating it on first touch. Callers hold
+// r.mu.
+func (r *Runtime) state(app string) *appState {
+	as := r.apps[app]
+	if as == nil {
+		as = &appState{tokens: map[string]uint64{}}
+		r.apps[app] = as
+	}
+	return as
 }
 
 // SetFence wires the split-brain fencing ledger into the serve path.
@@ -137,19 +156,22 @@ func (r *Runtime) Fence() *FenceLedger {
 func (r *Runtime) CellToken(app, stage string) uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.cellTokens[app+"/"+stage]
+	if as := r.apps[app]; as != nil {
+		return as.tokens[stage]
+	}
+	return 0
 }
 
 // applyToken is the token a serve-path apply carries: the cell's cached
 // ledger token when fencing is wired, the un-fenced sentinel otherwise
-// (so the healthy path allocates nothing and rejects nothing).
-func (r *Runtime) applyToken(app, stage string) uint64 {
+// (so the healthy path rejects nothing).
+func (r *Runtime) applyToken(as *appState, stage string) uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.fence == nil {
 		return ^uint64(0)
 	}
-	return r.cellTokens[app+"/"+stage]
+	return as.tokens[stage]
 }
 
 // RefreshFence re-reads the fencing ledger for an app's stateful cells
@@ -159,21 +181,13 @@ func (r *Runtime) applyToken(app, stage string) uint64 {
 func (r *Runtime) RefreshFence(app string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.fence == nil || r.stateStore == nil {
+	as := r.apps[app]
+	if r.fence == nil || r.stateStore == nil || as == nil || as.plan == nil {
 		return
 	}
-	plan := r.plans[app]
-	if plan == nil {
-		return
-	}
-	stages := make([]string, 0, len(plan.StatefulStages()))
-	for n := range plan.StatefulStages() {
-		stages = append(stages, n)
-	}
-	sort.Strings(stages)
-	for _, n := range stages {
+	for _, n := range slices.Sorted(maps.Keys(as.plan.StatefulStages())) {
 		if dev, tok, _, ok := r.fence.Current(app, n); ok {
-			r.cellTokens[app+"/"+n] = tok
+			as.tokens[n] = tok
 			r.stateStore.RaiseToken(app, n, dev, tok)
 		}
 	}
@@ -183,7 +197,10 @@ func (r *Runtime) RefreshFence(app string) {
 func (r *Runtime) Epoch(app string) uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.epochs[app]
+	if as := r.apps[app]; as != nil {
+		return as.epoch
+	}
+	return 0
 }
 
 // SetStateStore wires the stateful-stage state store into the serve
@@ -211,10 +228,8 @@ func (r *Runtime) StateStore() *StateStore {
 // it reports false while the assignment points at a failed device (the
 // restore path waits for the MAPE-K replan to move the stage).
 func (r *Runtime) StageDevice(app, stage string) (string, bool) {
-	r.mu.Lock()
-	plan := r.plans[app]
-	r.mu.Unlock()
-	if plan == nil {
+	plan, ok := r.Plan(app)
+	if !ok {
 		return "", false
 	}
 	a, ok := plan.Assignment(stage)
@@ -232,8 +247,9 @@ func (r *Runtime) StageDevice(app, stage string) (string, bool) {
 func (r *Runtime) nextReqID(app string) uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.reqSeq[app]++
-	return r.reqSeq[app]
+	as := r.state(app)
+	as.reqSeq++
+	return as.reqSeq
 }
 
 // SetAdmission wires an admission controller in front of every Submit:
@@ -259,19 +275,7 @@ func (r *Runtime) Admission() *AdmissionController {
 func (r *Runtime) SetAppAdmission(app string, ac *AdmissionController) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if ac == nil {
-		delete(r.admitFor, app)
-		return
-	}
-	r.admitFor[app] = ac
-}
-
-// AppAdmission returns the app's admission override (nil when the app
-// uses the global controller).
-func (r *Runtime) AppAdmission(app string) *AdmissionController {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.admitFor[app]
+	r.state(app).admission = ac
 }
 
 // SetBreakers wires per-device and per-link circuit breakers into the
@@ -284,6 +288,12 @@ func (r *Runtime) SetBreakers(bs *BreakerSet) {
 }
 
 // Breakers returns the attached breaker set (nil when none).
+func (r *Runtime) Breakers() *BreakerSet {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.breakers
+}
+
 // SetHealth wires a gray-failure health monitor into the serve path:
 // every stage execution is observed, and dispatches to degraded devices
 // gain a budgeted hedge plus a failover on outright rejection. Wire
@@ -301,12 +311,6 @@ func (r *Runtime) Health() *HealthMonitor {
 	return r.health
 }
 
-func (r *Runtime) Breakers() *BreakerSet {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.breakers
-}
-
 // SetMaxInFlight bounds how many requests per app may be in flight at
 // once; submits beyond the bound are shed with ErrOverloaded. Zero
 // restores the unbounded legacy behavior. Wire before serving.
@@ -322,19 +326,19 @@ func (r *Runtime) SetMaxInFlight(n int) {
 // quality). The MAPE-K loop drives this under sustained shedding and
 // restores it on recovery.
 func (r *Runtime) SetBrownout(app string, level int) {
-	if level < 0 {
-		level = 0
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.brownout[app] = level
+	r.state(app).brownout = max(level, 0)
 }
 
 // Brownout returns an app's current brownout level.
 func (r *Runtime) Brownout(app string) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.brownout[app]
+	if as := r.apps[app]; as != nil {
+		return as.brownout
+	}
+	return 0
 }
 
 // PlanSojourn measures the serve path's current queue delay for a plan:
@@ -353,84 +357,71 @@ func (r *Runtime) PlanSojourn(plan *Plan) sim.Time {
 	return worst
 }
 
-// releaseInflight returns one in-flight slot for app.
-func (r *Runtime) releaseInflight(app string) {
-	r.mu.Lock()
-	if n := r.inflight[app]; n > 0 {
-		r.inflight[app] = n - 1
-	}
-	r.mu.Unlock()
-}
-
 // Register makes an executed plan runnable.
 func (r *Runtime) Register(plan *Plan) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	as := r.state(plan.App)
 	// Plan-epoch gate: a plan stamped with an epoch older than the newest
 	// accepted one was built by a superseded authority (a partitioned
 	// orchestrator's view); registering it would route dispatches with a
 	// stale placement. Reject it outright — its dispatches never happen.
 	// Epoch 0 marks hand-built (unstamped) plans and is always accepted.
 	if r.fence != nil && plan.Epoch != 0 {
-		if cur := r.epochs[plan.App]; plan.Epoch < cur {
+		if plan.Epoch < as.epoch {
 			r.fence.NoteEpochReject()
 			return
 		}
-		r.epochs[plan.App] = plan.Epoch
+		as.epoch = plan.Epoch
 	}
-	r.plans[plan.App] = plan
+	as.plan = plan
 	if ss := r.stateStore; ss != nil {
-		for n := range plan.StatefulStages() {
+		// Sorted, so the ledger mints in a deterministic order. Ensure each
+		// stateful cell's ownership token: a stage that moved gets a fresh
+		// mint, and the cell's watermark rises before the new owner's
+		// first apply — from this instant the old owner's captured token
+		// is stale.
+		for _, n := range slices.Sorted(maps.Keys(plan.StatefulStages())) {
 			ss.SetHint(plan.App, n, plan.Template.Nodes[n].PropFloat("stateMB", 1))
-		}
-		if r.fence != nil {
-			// Ensure each stateful cell's ownership token: a stage that
-			// moved gets a fresh mint, and the cell's watermark rises
-			// before the new owner's first apply — from this instant the
-			// old owner's captured token is stale.
-			stages := make([]string, 0, len(plan.StatefulStages()))
-			for n := range plan.StatefulStages() {
-				stages = append(stages, n)
+			a, ok := plan.Assignment(n)
+			if r.fence == nil || !ok {
+				continue
 			}
-			sort.Strings(stages)
-			for _, n := range stages {
-				a, ok := plan.Assignment(n)
-				if !ok {
-					continue
-				}
-				tok, _ := r.fence.Ensure(plan.App, n, a.Device)
-				r.cellTokens[plan.App+"/"+n] = tok
-				ss.RaiseToken(plan.App, n, a.Device, tok)
-			}
+			tok, _ := r.fence.Ensure(plan.App, n, a.Device)
+			as.tokens[n] = tok
+			ss.RaiseToken(plan.App, n, a.Device, tok)
 		}
 	}
-	if r.metrics[plan.App] == nil {
-		reg := telemetry.NewRegistry(plan.App)
-		r.metrics[plan.App] = reg
-		r.ok[plan.App] = reg.Counter(telemetry.Application, "requests_ok")
-		r.failed[plan.App] = reg.Counter(telemetry.Application, "requests_failed")
-		r.shed[plan.App] = reg.Counter(telemetry.Application, "requests_shed")
-		r.degraded[plan.App] = reg.Counter(telemetry.Application, "requests_degraded")
-		r.recent[plan.App] = telemetry.NewWindow(128)
+	if as.reg == nil {
+		as.reg = telemetry.NewRegistry(plan.App)
+		as.ok = as.reg.Counter(telemetry.Application, "requests_ok")
+		as.failed = as.reg.Counter(telemetry.Application, "requests_failed")
+		as.shed = as.reg.Counter(telemetry.Application, "requests_shed")
+		as.degraded = as.reg.Counter(telemetry.Application, "requests_degraded")
+		as.recent = telemetry.NewWindow(128)
 	}
 }
 
-// Deregister removes an app.
+// Deregister removes an app's plan; its record stays (see appState).
 func (r *Runtime) Deregister(app string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	delete(r.plans, app)
+	if as := r.apps[app]; as != nil {
+		as.plan = nil
+	}
 }
 
 // Apps lists registered app names, sorted.
 func (r *Runtime) Apps() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.plans))
-	for a := range r.plans {
-		out = append(out, a)
+	out := make([]string, 0, len(r.apps))
+	for name, as := range r.apps {
+		if as.plan != nil {
+			out = append(out, name)
+		}
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -438,16 +429,20 @@ func (r *Runtime) Apps() []string {
 func (r *Runtime) Plan(app string) (*Plan, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	p, ok := r.plans[app]
-	return p, ok
+	if as := r.apps[app]; as != nil && as.plan != nil {
+		return as.plan, true
+	}
+	return nil, false
 }
 
 // Metrics returns the app's telemetry registry.
 func (r *Runtime) Metrics(app string) (*telemetry.Registry, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	m, ok := r.metrics[app]
-	return m, ok
+	if as := r.apps[app]; as != nil && as.reg != nil {
+		return as.reg, true
+	}
+	return nil, false
 }
 
 var errNoPlan = fmt.Errorf("mirto: app not registered")
@@ -466,12 +461,7 @@ type intakeGate struct {
 func (r *Runtime) PauseIntake(app string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	g := r.gates[app]
-	if g == nil {
-		g = &intakeGate{}
-		r.gates[app] = g
-	}
-	g.paused = true
+	r.state(app).gate.paused = true
 }
 
 // ResumeIntake reopens the app's intake gate and replays every parked
@@ -479,17 +469,15 @@ func (r *Runtime) PauseIntake(app string) {
 // registered at flip time). It returns how many requests were parked.
 func (r *Runtime) ResumeIntake(app string) int {
 	r.mu.Lock()
-	g := r.gates[app]
-	if g == nil || !g.paused {
+	as := r.apps[app]
+	if as == nil || !as.gate.paused {
 		r.mu.Unlock()
 		return 0
 	}
-	g.paused = false
-	waiters := g.waiters
-	g.waiters = nil
+	waiters := as.gate.waiters
+	as.gate = intakeGate{}
 	r.mu.Unlock()
 	for _, w := range waiters {
-		w := w
 		r.engine.After(0, w)
 	}
 	return len(waiters)
@@ -499,597 +487,8 @@ func (r *Runtime) ResumeIntake(app string) int {
 func (r *Runtime) IntakePaused(app string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	g := r.gates[app]
-	return g != nil && g.paused
-}
-
-// Submit schedules one request through the app's pipeline starting at
-// the current virtual time. done (optional) fires in virtual time with
-// the end-to-end latency and energy. The caller drives the engine.
-func (r *Runtime) Submit(app string, items int64, done func(lat sim.Time, energy float64, err error)) error {
-	return r.SubmitFrom(app, "", items, done)
-}
-
-// SubmitFrom is Submit with an explicit ingress: the request's input data
-// (source stages' "inMB" property) physically originates at the ingress
-// device, so source stages placed elsewhere pay the transfer — this is
-// what makes edge placement of sensor-adjacent stages pay off.
-func (r *Runtime) SubmitFrom(app, ingress string, items int64, done func(lat sim.Time, energy float64, err error)) error {
-	return r.submitRequest(app, ingress, items, r.nextReqID(app), done)
-}
-
-// submitRequest is the serve path proper. reqID is the request's
-// deterministic identity: a retry resubmits with the same ID, and
-// stateful stages dedup on it so re-execution never double-applies.
-func (r *Runtime) submitRequest(app, ingress string, items int64, reqID uint64, done func(lat sim.Time, energy float64, err error)) error {
-	r.mu.Lock()
-	if g := r.gates[app]; g != nil && g.paused {
-		// Intake is paused for a migration flip: park the whole submit and
-		// replay it on resume — it will re-read the flipped plan, so queued
-		// requests are effectively forwarded to the new owner. The request
-		// ID travels with the replay, keeping dedup exactly-once.
-		g.waiters = append(g.waiters, func() {
-			r.submitRequest(app, ingress, items, reqID, done) //nolint:errcheck
-		})
-		r.mu.Unlock()
-		return nil
-	}
-	plan := r.plans[app]
-	reg := r.metrics[app]
-	okC, failC := r.ok[app], r.failed[app]
-	shedC, degradedC := r.shed[app], r.degraded[app]
-	recentW := r.recent[app]
-	ac, bs := r.admission, r.breakers
-	hm := r.health
-	if tac := r.admitFor[app]; tac != nil {
-		ac = tac
-	}
-	ss := r.stateStore
-	maxIF := r.maxInFlight
-	level := r.brownout[app]
-	r.mu.Unlock()
-	if plan == nil {
-		return errNoPlan
-	}
-	if items <= 0 {
-		items = 1
-	}
-	var statefulSet map[string]bool
-	if ss != nil {
-		statefulSet = plan.StatefulStages()
-	}
-
-	// Admission gate: the controller sees the app's priority class and the
-	// serve path's measured sojourn, and sheds deterministically before
-	// the request touches any device.
-	if ac != nil {
-		if err := ac.Admit(plan.Priority(), r.PlanSojourn(plan)); err != nil {
-			shedC.Inc()
-			return err
-		}
-	}
-	// In-flight bound: the serve path's concurrency is capped, so a flood
-	// of accepted requests cannot build an unbounded internal backlog.
-	tracked := false
-	if maxIF > 0 {
-		r.mu.Lock()
-		if r.inflight[app] >= maxIF {
-			r.mu.Unlock()
-			shedC.Inc()
-			return fmt.Errorf("mirto: app %s at in-flight limit %d: %w", app, maxIF, ErrOverloaded)
-		}
-		r.inflight[app]++
-		tracked = true
-		r.mu.Unlock()
-	}
-
-	st := plan.Template
-	shape := plan.pipelineShape()
-	if level >= 1 {
-		// Brownout: serve a reduced pipeline rather than shed. Level 1
-		// splices out optional stages; level 2 also halves the batch.
-		if b := plan.brownoutShape(); len(b.order) > 0 && len(b.order) < len(shape.order) {
-			shape = b
-		}
-		if level >= 2 && items > 1 {
-			items = (items + 1) / 2
-		}
-		degradedC.Inc()
-	}
-	order, consumers, indeg := shape.order, shape.consumers, shape.indeg
-	start := r.engine.Now()
-	latHist := reg.Histogram(telemetry.Application, "latency_ms")
-	energyC := reg.Counter(telemetry.Application, "energy_joules")
-
-	// Request root span. Every operation the request causally touches —
-	// ingress transfer, stage execution, inter-stage transfer — parents
-	// its span on the operation that enabled it, so the terminal span's
-	// ancestry is exactly the critical path and its segments telescope to
-	// the end-to-end latency.
-	root := r.tracer.StartRoot("request/"+app, trace.LayerAgent)
-	root.SetAttr("ingress", ingress)
-	root.SetAttr("tenant", plan.Tenant())
-	rootCtx := root.Context()
-
-	type state struct {
-		arrived int
-		ready   sim.Time
-		failed  bool
-		// ctx references the operation whose completion made this stage
-		// runnable (last arrival wins: events fire in time order, so the
-		// final writer is the critical input).
-		ctx trace.SpanContext
-	}
-	states := make(map[string]*state, len(order))
-	for _, n := range order {
-		states[n] = &state{}
-	}
-	totalEnergy := 0.0
-	remainingSinks := shape.sinks
-	var finishAll sim.Time
-	// finished guards the request's terminal state: a multi-branch
-	// request may hit several failures (or a failure plus surviving
-	// sinks), but done and the counters fire exactly once.
-	finished := false
-	failDone := func(err error) {
-		if finished {
-			return
-		}
-		finished = true
-		if tracked {
-			r.releaseInflight(app)
-		}
-		failC.Inc()
-		root.SetError(err)
-		root.EndNow()
-		if done != nil {
-			done(0, 0, err)
-		}
-	}
-
-	var runStage func(n string)
-	runStage = func(n string) {
-		stv := states[n]
-		if stv.failed {
-			return
-		}
-		a, ok := plan.Assignment(n)
-		if !ok {
-			failDone(fmt.Errorf("mirto: stage %s unassigned", n))
-			return
-		}
-		dev := r.devices[a.Device]
-		if dev == nil || dev.Failed() {
-			failDone(fmt.Errorf("mirto: device %s down for stage %s", a.Device, n))
-			return
-		}
-		nt := st.Nodes[n]
-		at := stv.ready
-		if now := r.engine.Now(); at < now {
-			at = now
-		}
-		pctx := stv.ctx
-		if !pctx.Valid() {
-			pctx = rootCtx
-		}
-		work := device.Work{
-			Name:   plan.App + "/" + n,
-			GOps:   nt.PropFloat("gops", 1),
-			Kernel: nt.PropString("kernel", ""),
-			Items:  items,
-			Ctx:    pctx,
-		}
-		degraded := false
-		if hm != nil {
-			degraded = hm.NoteDispatch(a.Device)
-		}
-		srvName, srvDev := a.Device, dev
-		// Quarantine steering: while the plan still routes to a sidelined
-		// device (the pre-flip window of its drain), send the work
-		// straight to the alternate. No duplicate runs, so no hedge
-		// token — steering is free where hedging is budgeted.
-		if degraded && hm.Sidelined(a.Device) {
-			if altName, altDev := r.hedgeAlternate(plan, n, a.Device); altDev != nil {
-				srvName, srvDev = altName, altDev
-				hm.NoteSteer()
-			}
-		}
-		var res device.Result
-		var err error
-		// Device breaker: fast-fail a stage whose target is open rather
-		// than paying for a doomed or saturated run.
-		if bs != nil && !bs.Allow(srvName) {
-			err = fmt.Errorf("mirto: device %s for stage %s: %w", srvName, n, ErrCircuitOpen)
-		} else {
-			res, err = srvDev.Run(work, at)
-			if err != nil && bs != nil {
-				bs.Failure(srvName)
-			}
-		}
-		if err != nil && degraded {
-			// Degraded-primary failover: a suspect-slow device that
-			// rejects the work outright (queue bound, tripped breaker)
-			// must not doom the request while the quarantine drain is
-			// still in flight — re-route to the placement alternate.
-			if altName, altDev := r.hedgeAlternate(plan, n, srvName); altDev != nil {
-				if ares, aerr := altDev.Run(work, at); aerr == nil {
-					hm.NoteFailover()
-					srvName, srvDev, res, err = altName, altDev, ares, nil
-				}
-			}
-		}
-		if err != nil {
-			failDone(err)
-			return
-		}
-		if bs != nil {
-			bs.Success(srvName)
-		}
-		if hm != nil {
-			hm.Observe(srvDev, work.GOps, res.Start, res.Finish)
-		}
-		// Hedged request: a dispatch that landed on a suspect-slow device
-		// and will outlive the class-p95-derived delay arms one duplicate
-		// on the next-best candidate. First completion wins; the loser's
-		// state apply is absorbed by the exactly-once dedup window. A
-		// token budget (≤HedgeBudget of all dispatches, overflow denied
-		// and never retried) keeps hedging from amplifying load.
-		var hedgeLoss *device.Result
-		hedgeLossDev := ""
-		if hm != nil && degraded && srvName == a.Device {
-			if delay := hm.HedgeDelay(a.Device, work.GOps); delay > 0 && res.Finish > at+delay {
-				if altName, altDev := r.hedgeAlternate(plan, n, a.Device); altDev != nil && hm.TakeHedgeToken() {
-					if hres, herr := altDev.Run(work, at+delay); herr == nil {
-						totalEnergy += hres.EnergyJoules
-						hm.Observe(altDev, work.GOps, hres.Start, hres.Finish)
-						if hres.Finish < res.Finish {
-							lost := res
-							hedgeLoss, hedgeLossDev = &lost, srvName
-							srvName, res = altName, hres
-							hm.NoteHedgeFired(true)
-						} else {
-							lost := hres
-							hedgeLoss, hedgeLossDev = &lost, altName
-							hm.NoteHedgeFired(false)
-						}
-					}
-				}
-			}
-		}
-		if statefulSet[n] {
-			// The stage's state update lands when the work finishes. Apply
-			// dedups on the request ID, so a retry that re-executes a stage
-			// whose first run already applied is a no-op — the exactly-once
-			// half of the recovery contract. A losing hedge's apply lands
-			// at or after the winner's (same-timestamp events fire FIFO,
-			// and the winner is scheduled first), so it always dedups.
-			devName := srvName
-			r.engine.At(res.Finish, func() {
-				// The fencing token is read at apply time, not capture time:
-				// a request legitimately in flight across a migration flip
-				// or replan applies with the cell's current token and lands;
-				// only writers carrying an explicitly captured old token
-				// (a partitioned zombie) are fenced.
-				ss.ApplyFenced(app, n, devName, reqID, items, res.Finish, r.applyToken(app, n))
-			})
-			if hedgeLoss != nil {
-				lr, ld := *hedgeLoss, hedgeLossDev
-				r.engine.At(lr.Finish, func() {
-					if !ss.ApplyFenced(app, n, ld, reqID, items, lr.Finish, r.applyToken(app, n)) {
-						hm.NoteHedgeSuppressed()
-					}
-				})
-			}
-		}
-		totalEnergy += res.EnergyJoules
-		outMB := nt.PropFloat("outMB", 0.1)
-		if len(consumers[n]) == 0 {
-			// Sink stage: request complete when it finishes.
-			r.engine.At(res.Finish, func() {
-				if finished {
-					return
-				}
-				if res.Finish > finishAll {
-					finishAll = res.Finish
-				}
-				remainingSinks--
-				if remainingSinks == 0 {
-					finished = true
-					if tracked {
-						r.releaseInflight(app)
-					}
-					lat := finishAll - start
-					latHist.Observe(lat.Seconds() * 1e3)
-					recentW.Push(int64(finishAll), lat.Seconds()*1e3)
-					energyC.Add(totalEnergy)
-					okC.Inc()
-					root.SetAttr("latency", lat.String())
-					root.EndAt(finishAll)
-					if done != nil {
-						done(lat, totalEnergy, nil)
-					}
-				}
-			})
-			return
-		}
-		for _, consumer := range consumers[n] {
-			consumer := consumer
-			ca, ok := plan.Assignment(consumer)
-			if !ok {
-				failDone(fmt.Errorf("mirto: consumer %s unassigned", consumer))
-				return
-			}
-			deliver := func(arrCtx trace.SpanContext, err error) {
-				if err != nil {
-					states[consumer].failed = true
-					failDone(fmt.Errorf("mirto: transfer %s->%s: %w", n, consumer, err))
-					return
-				}
-				cs := states[consumer]
-				if t := r.engine.Now(); t > cs.ready {
-					cs.ready = t
-				}
-				cs.ctx = arrCtx
-				cs.arrived++
-				if cs.arrived == indeg[consumer] {
-					runStage(consumer)
-				}
-			}
-			if ca.Device == srvName {
-				r.engine.At(res.Finish, func() { deliver(res.Ctx, nil) })
-				continue
-			}
-			size := int64(outMB * 1e6)
-			lkey := srvName + "->" + ca.Device
-			r.engine.At(res.Finish, func() {
-				// Link breaker: a link that keeps losing transfers (or a
-				// flooded broker path shedding with ErrQueueFull) is
-				// fast-failed until its cooldown probe succeeds.
-				if bs != nil && !bs.Allow(lkey) {
-					deliver(trace.SpanContext{}, fmt.Errorf("link %s: %w", lkey, ErrCircuitOpen))
-					return
-				}
-				// tctx is captured by the done closure; SendCtx returns
-				// before any delivery event can fire, so the assignment
-				// is always visible to the callback.
-				var tctx trace.SpanContext
-				var serr error
-				tctx, serr = r.fabric.SendCtx(res.Ctx, srvName, ca.Device, size, network.Options{Retries: 3}, func(err error) {
-					if bs != nil {
-						if err != nil {
-							bs.Failure(lkey)
-						} else {
-							bs.Success(lkey)
-						}
-					}
-					deliver(tctx, err)
-				})
-				if serr != nil {
-					if bs != nil {
-						bs.Failure(lkey)
-					}
-					deliver(trace.SpanContext{}, serr)
-				}
-			})
-		}
-	}
-	for _, n := range order {
-		if indeg[n] != 0 {
-			continue
-		}
-		n := n
-		a, ok := plan.Assignment(n)
-		if !ok {
-			failDone(fmt.Errorf("mirto: stage %s unassigned", n))
-			continue
-		}
-		inMB := st.Nodes[n].PropFloat("inMB", 0)
-		if ingress == "" || ingress == a.Device || inMB <= 0 {
-			runStage(n)
-			continue
-		}
-		// Input data must travel from the ingress device first.
-		ikey := ingress + "->" + a.Device
-		if bs != nil && !bs.Allow(ikey) {
-			failDone(fmt.Errorf("mirto: ingress link %s: %w", ikey, ErrCircuitOpen))
-			continue
-		}
-		var ictx trace.SpanContext
-		var serr error
-		ictx, serr = r.fabric.SendCtx(rootCtx, ingress, a.Device, int64(inMB*1e6), network.Options{Retries: 3}, func(err error) {
-			if bs != nil {
-				if err != nil {
-					bs.Failure(ikey)
-				} else {
-					bs.Success(ikey)
-				}
-			}
-			if err != nil {
-				failDone(fmt.Errorf("mirto: ingress transfer to %s: %w", n, err))
-				return
-			}
-			states[n].ready = r.engine.Now()
-			states[n].ctx = ictx
-			runStage(n)
-		})
-		if serr != nil {
-			if bs != nil {
-				bs.Failure(ikey)
-			}
-			failDone(serr)
-		}
-	}
-	return nil
-}
-
-// hedgeAlternate resolves the next-best device for a stage (excluding
-// the primary), consulting the health monitor's per-tick cache so the
-// serve path pays at most one placement scan per (app, stage, primary)
-// per sensing tick.
-func (r *Runtime) hedgeAlternate(plan *Plan, node, avoid string) (string, *device.Device) {
-	if r.manager == nil {
-		return "", nil
-	}
-	hm := r.health
-	key := plan.App + "/" + node + "/" + avoid
-	if hm != nil {
-		if name, ok, hit := hm.CachedAlt(key); hit {
-			if !ok {
-				return "", nil
-			}
-			if d := r.devices[name]; d != nil && !d.Failed() {
-				return name, d
-			}
-			return "", nil
-		}
-	}
-	name, ok := r.manager.BestAlternate(plan, node, avoid)
-	if hm != nil {
-		hm.StoreAlt(key, name, ok)
-	}
-	if !ok {
-		return "", nil
-	}
-	if d := r.devices[name]; d != nil && !d.Failed() {
-		return name, d
-	}
-	return "", nil
-}
-
-// RetryPolicy shapes the serve path's self-healing retries.
-type RetryPolicy struct {
-	// Attempts is the total number of tries (minimum 1).
-	Attempts int
-	// Base is the first retry's backoff; successive retries double it.
-	Base sim.Time
-	// Max caps the backoff (0 = 32×Base). Deterministic jitter of up to
-	// +50% is added on top of the capped value.
-	Max sim.Time
-	// OnAttemptFail, if set, observes each failed attempt at its virtual
-	// failure time — chaos harnesses use it to stamp incident starts.
-	OnAttemptFail func(attempt int, err error)
-}
-
-// SubmitWithRetry is SubmitFrom with exponential-backoff retries: a
-// failed request (crashed device, lost transfer) is resubmitted after a
-// deterministic jittered backoff, riding out the window between a fault
-// and the MAPE-K loop's reallocation. done fires exactly once with the
-// final outcome and the number of attempts spent; a request that
-// succeeds on attempt > 1 counts as recovered, one that exhausts all
-// attempts as lost.
-func (r *Runtime) SubmitWithRetry(app, ingress string, items int64, pol RetryPolicy, done func(lat sim.Time, energy float64, attempts int, err error)) error {
-	if pol.Attempts < 1 {
-		pol.Attempts = 1
-	}
-	if pol.Base <= 0 {
-		pol.Base = 100 * sim.Millisecond
-	}
-	max := pol.Max
-	if max <= 0 {
-		max = 32 * pol.Base
-	}
-	r.mu.Lock()
-	reg := r.metrics[app]
-	r.mu.Unlock()
-	if reg == nil {
-		return errNoPlan
-	}
-	recoveredC := reg.Counter(telemetry.Application, "requests_recovered")
-	lostC := reg.Counter(telemetry.Application, "requests_lost")
-	retriesC := reg.Counter(telemetry.Application, "serve_retries")
-
-	// One deterministic request ID for the whole logical request: every
-	// retry resubmits under it, so a stateful stage that already applied
-	// the request before the failure dedups the re-execution.
-	reqID := r.nextReqID(app)
-	attempt := 0
-	var try func() error
-	try = func() error {
-		attempt++
-		a := attempt
-		return r.submitRequest(app, ingress, items, reqID, func(lat sim.Time, energy float64, err error) {
-			if err == nil {
-				if a > 1 {
-					recoveredC.Inc()
-				}
-				if done != nil {
-					done(lat, energy, a, nil)
-				}
-				return
-			}
-			if pol.OnAttemptFail != nil {
-				pol.OnAttemptFail(a, err)
-			}
-			// Non-retryable classes (overload shed, security refusal) fail
-			// fast: retrying a deterministic policy decision only feeds the
-			// very overload that produced it — the retry-storm antipattern.
-			if a >= pol.Attempts || !Retryable(err) {
-				lostC.Inc()
-				if done != nil {
-					done(0, 0, a, err)
-				}
-				return
-			}
-			retriesC.Inc()
-			shift := a - 1
-			if shift > 6 {
-				shift = 6
-			}
-			backoff := pol.Base << shift
-			if backoff > max {
-				backoff = max
-			}
-			backoff += sim.Time(r.retryRNG.Float64() * float64(backoff) / 2)
-			r.engine.After(backoff, func() {
-				if err := try(); err != nil && done != nil {
-					// The app vanished mid-retry (undeployed): final loss.
-					lostC.Inc()
-					done(0, 0, attempt, err)
-				}
-			})
-		})
-	}
-	return try()
-}
-
-// ServeRequestFrom is the synchronous form of SubmitFrom.
-func (r *Runtime) ServeRequestFrom(app, ingress string, items int64) (sim.Time, float64, error) {
-	var lat sim.Time
-	var energy float64
-	var rerr error
-	doneFired := false
-	if err := r.SubmitFrom(app, ingress, items, func(l sim.Time, e float64, err error) {
-		lat, energy, rerr = l, e, err
-		doneFired = true
-	}); err != nil {
-		return 0, 0, err
-	}
-	r.engine.Run()
-	if !doneFired {
-		return 0, 0, fmt.Errorf("mirto: request to %s never completed", app)
-	}
-	return lat, energy, rerr
-}
-
-// ServeRequest submits a request and drives the simulation until it
-// completes, returning its latency and energy — the synchronous
-// convenience used by the examples.
-func (r *Runtime) ServeRequest(app string, items int64) (sim.Time, float64, error) {
-	var lat sim.Time
-	var energy float64
-	var rerr error
-	doneFired := false
-	if err := r.Submit(app, items, func(l sim.Time, e float64, err error) {
-		lat, energy, rerr = l, e, err
-		doneFired = true
-	}); err != nil {
-		return 0, 0, err
-	}
-	r.engine.Run()
-	if !doneFired {
-		return 0, 0, fmt.Errorf("mirto: request to %s never completed", app)
-	}
-	return lat, energy, rerr
+	as := r.apps[app]
+	return as != nil && as.gate.paused
 }
 
 // KPIs summarizes an app's recent performance.
@@ -1114,45 +513,33 @@ type KPIs struct {
 
 // KPIs returns current indicators for an app.
 func (r *Runtime) KPIs(app string) (KPIs, bool) {
-	reg, ok := r.Metrics(app)
-	if !ok {
+	r.mu.Lock()
+	as := r.apps[app]
+	if as == nil || as.reg == nil {
+		r.mu.Unlock()
 		return KPIs{}, false
 	}
-	r.mu.Lock()
-	recentW := r.recent[app]
+	latency, energy := as.latency, as.energy
 	r.mu.Unlock()
-	k := KPIs{App: app}
-	if recentW != nil {
-		if pts := recentW.Points(); len(pts) > 0 {
-			vals := make([]float64, len(pts))
-			for i, p := range pts {
-				vals[i] = p.Value
-			}
-			sort.Float64s(vals)
-			idx := int(0.95 * float64(len(vals)))
-			if idx >= len(vals) {
-				idx = len(vals) - 1
-			}
-			k.RecentP95Ms = vals[idx]
+	k := KPIs{
+		App:      app,
+		Requests: int64(as.ok.Value()),
+		Failed:   int64(as.failed.Value()),
+		Shed:     int64(as.shed.Value()),
+		Degraded: int64(as.degraded.Value()),
+	}
+	if pts := as.recent.Points(); len(pts) > 0 {
+		vals := make([]float64, len(pts))
+		for i, p := range pts {
+			vals[i] = p.Value
 		}
+		k.RecentP95Ms = telemetry.Quantiles(vals, 0.95)[0]
 	}
-	if s, ok := reg.Find("latency_ms"); ok {
-		k.LatencyMs = s.Hist
+	if latency != nil {
+		k.LatencyMs = latency.Snapshot()
 	}
-	if s, ok := reg.Find("requests_ok"); ok {
-		k.Requests = int64(s.Value)
-	}
-	if s, ok := reg.Find("requests_failed"); ok {
-		k.Failed = int64(s.Value)
-	}
-	if s, ok := reg.Find("requests_shed"); ok {
-		k.Shed = int64(s.Value)
-	}
-	if s, ok := reg.Find("requests_degraded"); ok {
-		k.Degraded = int64(s.Value)
-	}
-	if s, ok := reg.Find("energy_joules"); ok {
-		k.EnergyJoules = s.Value
+	if energy != nil {
+		k.EnergyJoules = energy.Value()
 	}
 	return k, true
 }

@@ -428,10 +428,8 @@ type StateStore struct {
 	stats StateStoreStats
 
 	// onLost, when set (by the Checkpointer), observes invalidations so a
-	// restore can be scheduled; onRestored observes completed restores
-	// (chaos harnesses use it for RTO attribution).
-	onLost     func(app, stage string)
-	onRestored func(app, stage string, at sim.Time)
+	// restore can be scheduled.
+	onLost func(app, stage string)
 
 	// crashAt lets the fault injector stamp the true crash instant of a
 	// device, so RTO measures crash→restored rather than detect→restored.
@@ -751,11 +749,7 @@ func (ss *StateStore) CompleteRestore(app, stage, device string, img *StageState
 		ss.stats.RPOItems += c.lostCount - recoveredToLoss
 	}
 	ss.stats.RTOSamples = append(ss.stats.RTOSamples, now-c.lostAt)
-	onRestored := ss.onRestored
 	ss.mu.Unlock()
-	if onRestored != nil {
-		onRestored(app, stage, now)
-	}
 }
 
 // AbandonLost re-owns a lost cell with zero state — the no-checkpoint
@@ -876,13 +870,6 @@ func (ss *StateStore) SetOnLost(fn func(app, stage string)) {
 func (ss *StateStore) SetFailedFn(fn func(device string) bool) {
 	ss.mu.Lock()
 	ss.failed = fn
-	ss.mu.Unlock()
-}
-
-// SetOnRestored registers the restore-completion observer.
-func (ss *StateStore) SetOnRestored(fn func(app, stage string, at sim.Time)) {
-	ss.mu.Lock()
-	ss.onRestored = fn
 	ss.mu.Unlock()
 }
 

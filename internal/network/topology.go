@@ -362,20 +362,6 @@ func (r RouteReader) LatencyAt(from, to int) (sim.Time, bool) {
 	return lat, true
 }
 
-// ToLatencyAt returns the latency from a node index to an anchor index,
-// served from the anchor's reverse row — one reverse Dijkstra per anchor
-// per epoch, shared by every node querying that anchor. This is the
-// route-summary read shard digests aggregate over: a shard of devices
-// summarizes "best latency to our layer's anchor" without any per-pair
-// state.
-func (r RouteReader) ToLatencyAt(node, anchor int) (sim.Time, bool) {
-	lat := r.tab.toRow(anchor).dist[node]
-	if lat < 0 {
-		return 0, false
-	}
-	return lat, true
-}
-
 // AnchorSummary condenses a member set's connectivity to an anchor into
 // a compact digest: the best and worst member→anchor latency plus the
 // reachable count. This is the "capacity digest" shape hierarchical

@@ -18,7 +18,6 @@ package overload
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"myrtus/internal/continuum"
@@ -393,14 +392,7 @@ func runPoint(cfg Config, capacityRPS float64, deadline sim.Time, mult float64) 
 	eng.Run() // drain in-flight completions past the horizon
 
 	pt.GoodputRPS = float64(pt.Good) / horizon.Seconds()
-	if len(lats) > 0 {
-		sort.Float64s(lats)
-		i := int(0.95 * float64(len(lats)))
-		if i >= len(lats) {
-			i = len(lats) - 1
-		}
-		pt.P95Ms = lats[i]
-	}
+	pt.P95Ms = telemetry.Quantiles(lats, 0.95)[0]
 	for i, app := range appNames {
 		if k, ok := s.o.R.KPIs(app); ok {
 			pt.Classes[i].Degraded = k.Degraded
@@ -423,16 +415,12 @@ func runPoint(cfg Config, capacityRPS float64, deadline sim.Time, mult float64) 
 	}
 	pt.LinkDrops = s.c.Fabric.Stats().QueueDrops
 	if cfg.Admission {
-		if bs := breakersOf(s.o.R); bs != nil {
+		if bs := s.o.R.Breakers(); bs != nil {
 			pt.BreakerOpens, pt.BreakerFast = bs.Stats()
 		}
 	}
 	return pt, nil
 }
-
-// breakersOf fetches the runtime's breaker set via the admission run's
-// wiring (nil in control runs).
-func breakersOf(r *mirto.Runtime) *mirto.BreakerSet { return r.Breakers() }
 
 // Run executes a full sweep.
 func Run(cfg Config) (*Report, error) {

@@ -256,18 +256,6 @@ func scheduleTenant(s *tenant.System, app string, offered float64, horizon sim.T
 	}
 }
 
-func p95(lats []float64) float64 {
-	if len(lats) == 0 {
-		return 0
-	}
-	sort.Float64s(lats)
-	i := int(0.95 * float64(len(lats)))
-	if i >= len(lats) {
-		i = len(lats) - 1
-	}
-	return lats[i]
-}
-
 // counterValue reads one tenant counter (0 when absent).
 func counterValue(reg *telemetry.Registry, name string) int64 {
 	if s, ok := reg.Find(name); ok {
@@ -323,7 +311,7 @@ func runTenantPoint(cfg TenantsConfig, capacityRPS float64, deadline sim.Time, a
 	pt := TenantPoint{Mult: aggMult}
 	for _, id := range ids {
 		col := cols[id]
-		col.stats.P95Ms = p95(col.lats)
+		col.stats.P95Ms = telemetry.Quantiles(col.lats, 0.95)[0]
 		if s.Reg != nil {
 			if t, ok := s.Reg.Get(id); ok {
 				m := t.Metrics()

@@ -7,8 +7,10 @@
 package telemetry
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -176,6 +178,24 @@ func (h *Histogram) Quantile(q float64) float64 {
 		return s[len(s)-1]
 	}
 	return s[lo]*(1-frac) + s[lo+1]*frac
+}
+
+// Quantiles returns the nearest-rank quantile of samples for each q in
+// qs: the element at index int(q·n) of the sorted samples, clamped to the
+// last. It sorts a copy, so samples is left as it was; with no samples
+// every quantile is the zero value. Reports and KPIs share this one
+// definition so their percentiles agree.
+func Quantiles[T cmp.Ordered](samples []T, qs ...float64) []T {
+	out := make([]T, len(qs))
+	if len(samples) == 0 {
+		return out
+	}
+	s := slices.Clone(samples)
+	slices.Sort(s)
+	for i, q := range qs {
+		out[i] = s[min(int(q*float64(len(s))), len(s)-1)]
+	}
+	return out
 }
 
 // Snapshot is a point-in-time summary of a histogram.

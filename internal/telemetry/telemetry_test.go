@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -244,5 +245,38 @@ func TestClassString(t *testing.T) {
 	}
 	if Class(42).String() != "Class(42)" {
 		t.Fatal("unknown class formatting")
+	}
+}
+
+// TestQuantiles pins the nearest-rank definition every report shares:
+// index int(q·n) of the sorted samples, clamped to the last.
+func TestQuantiles(t *testing.T) {
+	ten := []int{9, 0, 8, 1, 7, 2, 6, 3, 5, 4} // sorted: 0..9
+	cases := []struct {
+		name    string
+		samples []int
+		qs      []float64
+		want    []int
+	}{
+		{"no samples", nil, []float64{0.5, 0.95}, []int{0, 0}},
+		{"no quantiles", ten, nil, []int{}},
+		{"one sample", []int{7}, []float64{0, 0.5, 0.99, 1}, []int{7, 7, 7, 7}},
+		{"two samples", []int{5, 3}, []float64{0.49, 0.5}, []int{3, 5}},
+		{"ten samples", ten, []float64{0, 0.5, 0.95, 0.99}, []int{0, 5, 9, 9}},
+		{"q=1 clamps to the last", ten, []float64{1, 2.5}, []int{9, 9}},
+		{"order of qs is kept", ten, []float64{0.9, 0.1}, []int{9, 1}},
+	}
+	for _, tc := range cases {
+		in := slices.Clone(tc.samples)
+		if got := Quantiles(tc.samples, tc.qs...); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
+		}
+		if !slices.Equal(tc.samples, in) {
+			t.Errorf("%s: samples reordered to %v", tc.name, tc.samples)
+		}
+	}
+	// Any ordered type: the reports use sim.Time (an int64) and float64.
+	if got := Quantiles([]float64{2.5, 0.5, 1.5}, 0.5)[0]; got != 1.5 {
+		t.Errorf("float64 median = %v, want 1.5", got)
 	}
 }

@@ -173,9 +173,6 @@ func NewRegistry(engine *sim.Engine, platformRPS float64) *Registry {
 	}
 }
 
-// PlatformRPS is the admission rate the shares partition.
-func (r *Registry) PlatformRPS() float64 { return r.platformRPS }
-
 // Register adds a tenant and carves its admission budget out of the
 // platform rate. It fails on an invalid ID, a duplicate, a share
 // outside (0,1], or if the sum of shares would exceed 1 (the budgets

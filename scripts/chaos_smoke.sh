@@ -33,8 +33,10 @@ for sc in $("$BIN" chaos -list); do
   case "$sc" in
     # Harness scenarios (multi-arm experiments with their own gates and
     # render shapes) run in the plain loop above; the per-line RPO/RTO
-    # greps below only fit the single-run stateful report.
-    noisy-neighbor|planned-drain) continue ;;
+    # greps below only fit the single-run stateful report. gray-fail and
+    # split-brain have stateful gates of their own (grayfail_smoke.sh,
+    # splitbrain_smoke.sh).
+    gray-fail|noisy-neighbor|planned-drain|split-brain) continue ;;
   esac
   echo "== chaos $sc -stateful -seed $SEED =="
   "$BIN" chaos "$sc" -stateful -seed "$SEED" | tee "$BIN.$sc.s1"
