@@ -1,7 +1,6 @@
 package kb
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
@@ -30,16 +29,6 @@ var (
 	_ Backend = (*Cluster)(nil)
 )
 
-// command is the replicated state-machine operation.
-type command struct {
-	Op    string `json:"op"` // "put", "delete", "cas", "nop"
-	Key   string `json:"key,omitempty"`
-	Value []byte `json:"value,omitempty"`
-	Lease int64  `json:"lease,omitempty"`
-	// ExpectRev is the CAS precondition (0 = key must not exist).
-	ExpectRev int64 `json:"expectRev,omitempty"`
-}
-
 // Cluster is a Raft-replicated KB: N nodes, each applying the committed
 // log to its own MVCC Store replica. The convenience mutators (Put,
 // Delete, …) are synchronous: they propose, then pump the message fabric
@@ -55,6 +44,10 @@ type Cluster struct {
 	stores map[NodeID]*Store
 	alive  map[NodeID]bool
 	inbox  map[NodeID][]Message
+	// out and ents are reused buffers each node's outbox and newly
+	// committed entries drain into.
+	out  []Message
+	ents []Entry
 
 	// blocked[a][b] severs the a→b link (partition injection).
 	blocked map[NodeID]map[NodeID]bool
@@ -140,22 +133,22 @@ func (c *Cluster) tickLocked() {
 // routeLocked moves outboxes into inboxes, honoring partitions and drops.
 func (c *Cluster) routeLocked() {
 	for _, id := range c.ids {
-		if !c.alive[id] {
-			c.nodes[id].ReadMessages() // discard output of crashed nodes
-			continue
-		}
-		for _, m := range c.nodes[id].ReadMessages() {
-			if !c.alive[m.To] || c.blocked[id][m.To] {
-				c.dropped++
-				continue
+		c.out = c.nodes[id].appendMessages(c.out[:0])
+		if c.alive[id] { // a crashed node's output is discarded
+			for _, m := range c.out {
+				if !c.alive[m.To] || c.blocked[id][m.To] {
+					c.dropped++
+					continue
+				}
+				if c.dropP > 0 && c.rng.Bool(c.dropP) {
+					c.dropped++
+					continue
+				}
+				c.inbox[m.To] = append(c.inbox[m.To], m)
+				c.delivered++
 			}
-			if c.dropP > 0 && c.rng.Bool(c.dropP) {
-				c.dropped++
-				continue
-			}
-			c.inbox[m.To] = append(c.inbox[m.To], m)
-			c.delivered++
 		}
+		clear(c.out) // drop references to entries and snapshot images
 	}
 }
 
@@ -165,13 +158,19 @@ func (c *Cluster) stepLocked() bool {
 	work := false
 	for _, id := range c.ids {
 		msgs := c.inbox[id]
-		c.inbox[id] = nil
-		if len(msgs) > 0 && c.alive[id] {
+		if len(msgs) == 0 {
+			continue
+		}
+		if c.alive[id] {
 			work = true
 			for _, m := range msgs {
 				c.nodes[id].Step(m)
 			}
 		}
+		// Keep the backing array for the next delivery; Step copies what
+		// it retains out of a message.
+		clear(msgs)
+		c.inbox[id] = msgs[:0]
 	}
 	if work {
 		c.routeLocked()
@@ -188,33 +187,41 @@ func (c *Cluster) applyLocked() {
 	for _, id := range c.ids {
 		n := c.nodes[id]
 		st := c.stores[id]
-		// A freshly installed snapshot replaces local state wholesale.
+		// A freshly installed snapshot replaces local state wholesale. A
+		// leader-produced image that fails its checksum is a broken
+		// invariant: skipping it would silently diverge this replica.
 		if data, _, ok := n.TakeSnapshot(); ok {
-			st.Restore(data) //nolint:errcheck // leader-produced images are well-formed
+			if err := st.Restore(data); err != nil {
+				panic(fmt.Sprintf("kb: node %d: installing snapshot: %v", id, err))
+			}
 		}
-		for _, e := range n.TakeCommitted() {
-			var cmd command
-			if err := json.Unmarshal(e.Data, &cmd); err != nil {
+		c.ents = n.appendCommitted(c.ents[:0])
+		for _, e := range c.ents {
+			cmd, err := decodeCommand(e.Data)
+			if err != nil {
 				continue // malformed entries are ignored by the state machine
 			}
 			switch cmd.Op {
-			case "put":
+			case opPut:
 				st.PutLease(cmd.Key, cmd.Value, cmd.Lease)
-			case "delete":
+			case opDelete:
 				st.Delete(cmd.Key)
-			case "cas":
+			case opCAS:
 				// Deterministic: every replica evaluates the precondition
 				// against the same applied prefix.
 				st.CAS(cmd.Key, cmd.ExpectRev, cmd.Value)
 			}
 		}
+		clear(c.ents)
 		// Log compaction: snapshot the applied state and truncate. Only
 		// serialize when the compaction point actually advanced — a
 		// partitioned replica whose commit is frozen would otherwise pay
 		// for a full-store marshal on every tick just to have CompactTo
 		// reject it.
 		if applied := n.Commit(); n.LogSize() > compactThreshold && applied > n.SnapshotIndex() {
-			n.CompactTo(applied, st.Serialize()) //nolint:errcheck // preconditions hold here
+			if err := n.CompactTo(applied, st.Serialize()); err != nil {
+				panic(fmt.Sprintf("kb: node %d: %v", id, err)) // both preconditions were just checked
+			}
 		}
 	}
 }
@@ -231,10 +238,7 @@ func (c *Cluster) pumpUntilLeader(maxTicks int) NodeID {
 
 // propose replicates cmd and waits for it to apply on the leader replica.
 func (c *Cluster) propose(cmd command) error {
-	data, err := json.Marshal(cmd)
-	if err != nil {
-		return err
-	}
+	data := encodeCommand(cmd)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for attempt := 0; attempt < 8; attempt++ {
@@ -281,7 +285,7 @@ func (c *Cluster) Put(key string, value []byte) int64 {
 
 // PutLease replicates a write bound to a lease ID.
 func (c *Cluster) PutLease(key string, value []byte, lease int64) int64 {
-	if err := c.propose(command{Op: "put", Key: key, Value: value, Lease: lease}); err != nil {
+	if err := c.propose(command{Op: opPut, Key: key, Value: value, Lease: lease}); err != nil {
 		return -1
 	}
 	return c.leaderStore().Revision()
@@ -291,7 +295,7 @@ func (c *Cluster) PutLease(key string, value []byte, lease int64) int64 {
 func (c *Cluster) Delete(key string) (int64, bool) {
 	st := c.leaderStore()
 	_, existed := st.Get(key)
-	if err := c.propose(command{Op: "delete", Key: key}); err != nil {
+	if err := c.propose(command{Op: opDelete, Key: key}); err != nil {
 		return -1, false
 	}
 	return c.leaderStore().Revision(), existed
@@ -301,7 +305,7 @@ func (c *Cluster) Delete(key string) (int64, bool) {
 // leader replica after commit: the swap happened iff the key now carries
 // our value at a revision past the precondition.
 func (c *Cluster) CAS(key string, expectRev int64, value []byte) (int64, bool) {
-	if err := c.propose(command{Op: "cas", Key: key, Value: value, ExpectRev: expectRev}); err != nil {
+	if err := c.propose(command{Op: opCAS, Key: key, Value: value, ExpectRev: expectRev}); err != nil {
 		return -1, false
 	}
 	st := c.leaderStore()
@@ -316,7 +320,7 @@ func (c *Cluster) CAS(key string, expectRev int64, value []byte) (int64, bool) {
 // Get performs a linearizable read: it commits a no-op barrier, then reads
 // the leader replica.
 func (c *Cluster) Get(key string) (KV, bool) {
-	if err := c.propose(command{Op: "nop"}); err != nil {
+	if err := c.propose(command{Op: opNop}); err != nil {
 		return KV{}, false
 	}
 	return c.leaderStore().Get(key)
@@ -335,7 +339,7 @@ func (c *Cluster) StaleGet(id NodeID, key string) (KV, bool) {
 
 // Range lists keys under prefix from the leader replica after a barrier.
 func (c *Cluster) Range(prefix string) []KV {
-	if err := c.propose(command{Op: "nop"}); err != nil {
+	if err := c.propose(command{Op: opNop}); err != nil {
 		return nil
 	}
 	return c.leaderStore().Range(prefix)

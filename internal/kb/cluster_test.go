@@ -1,7 +1,9 @@
 package kb
 
 import (
+	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -404,6 +406,161 @@ func TestClusterSnapshotCatchUp(t *testing.T) {
 	c.Ticks(30)
 	if kv, ok := c.StaleGet(victim, "/after"); !ok || string(kv.Value) != "y" {
 		t.Fatalf("victim not following after snapshot: %v %v", kv, ok)
+	}
+}
+
+func TestClusterSnapshotReplicasByteIdentical(t *testing.T) {
+	// Replica agreement through the real snapshot path: a follower
+	// crashes, the others compact past its log, it catches up by MsgSnap,
+	// and CAS and delete traffic follows. Every replica's image must then
+	// be byte-identical to the leader's — which holds only if images are
+	// deterministic and no reused inbox or outbox array aliases a message
+	// still in use.
+	c := NewCluster(3, 24)
+	c.Put("/seed", []byte("x"))
+	if _, ok := c.CAS("/owner", 0, []byte("a")); !ok {
+		t.Fatal("create CAS failed")
+	}
+	lead := c.Leader()
+	victim := NodeID(0)
+	for _, id := range c.Members() {
+		if id != lead {
+			victim = id
+			break
+		}
+	}
+	c.Crash(victim)
+	for i := 0; i < 3*compactThreshold; i++ {
+		if rev := c.Put(fmt.Sprintf("/w%03d", i%64), []byte(fmt.Sprintf("v%d", i))); rev <= 0 {
+			t.Fatalf("put %d failed", i)
+		}
+		if i%7 == 0 {
+			c.Delete(fmt.Sprintf("/w%03d", (i+32)%64))
+		}
+	}
+	c.mu.Lock()
+	if have, need := c.nodes[victim].LastIndex(), c.nodes[lead].SnapshotIndex(); have >= need {
+		c.mu.Unlock()
+		t.Fatalf("victim log reaches %d, leader compacted only to %d; test premise broken", have, need)
+	}
+	c.mu.Unlock()
+	c.Recover(victim)
+	c.Ticks(200)
+
+	kv, ok := c.Get("/owner")
+	if !ok {
+		t.Fatal("/owner missing")
+	}
+	if _, ok := c.CAS("/owner", kv.ModRevision, []byte("b")); !ok {
+		t.Fatal("correct-rev CAS failed after catch-up")
+	}
+	if _, ok := c.CAS("/owner", kv.ModRevision, []byte("c")); ok {
+		t.Fatal("stale-rev CAS succeeded after catch-up")
+	}
+	if _, ok := c.CAS("/fresh", 0, []byte("z")); !ok {
+		t.Fatal("create CAS failed after catch-up")
+	}
+	for i := 0; i < 16; i++ {
+		c.Delete(fmt.Sprintf("/w%03d", i))
+		c.Put(fmt.Sprintf("/after%02d", i), []byte{byte(i)})
+	}
+	c.Ticks(30)
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	want := c.stores[c.leaderLocked()].Serialize()
+	for _, id := range c.ids {
+		if got := c.stores[id].Serialize(); !bytes.Equal(got, want) {
+			t.Errorf("replica %d image (%d bytes) differs from the leader's (%d bytes)", id, len(got), len(want))
+		}
+	}
+	if kv, ok := c.stores[victim].Get("/owner"); !ok || string(kv.Value) != "b" {
+		t.Fatalf("victim /owner = %q %v", kv.Value, ok)
+	}
+}
+
+func TestClusterConcurrentClients(t *testing.T) {
+	// Several clients share one Cluster. The pump's reused buffers are
+	// guarded only by Cluster.mu, so this is the test -race must see.
+	c := NewCluster(3, 25)
+	const workers, puts, claims = 4, 24, 8
+	won := make([][]int, workers)
+	errs := make(chan error, workers)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			own := fmt.Sprintf("/own/%d", g)
+			w := c.Watch(own, puts)
+			defer w.Cancel()
+			for i := 0; i < puts; i++ {
+				v := []byte(fmt.Sprintf("%d-%d", g, i))
+				if rev := c.Put(own, v); rev <= 0 {
+					errs <- fmt.Errorf("worker %d: put %d failed", g, i)
+					return
+				}
+				if kv, ok := c.Get(own); !ok || !bytes.Equal(kv.Value, v) {
+					errs <- fmt.Errorf("worker %d: read %q after writing %q", g, kv.Value, v)
+					return
+				}
+				// Every worker races for every claim; CAS-create admits one.
+				if i < claims {
+					if _, ok := c.CAS(fmt.Sprintf("/claim/%d", i), 0, []byte{byte(g)}); ok {
+						won[g] = append(won[g], i)
+					}
+				}
+			}
+			for i := 0; i < puts; i++ {
+				if ev := <-w.Events(); string(ev.KV.Value) != fmt.Sprintf("%d-%d", g, i) {
+					errs <- fmt.Errorf("worker %d: watch event %d = %q", g, i, ev.KV.Value)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	winner := make(map[int]int)
+	for g, ws := range won {
+		for _, i := range ws {
+			if prev, dup := winner[i]; dup {
+				t.Fatalf("claim %d won by workers %d and %d", i, prev, g)
+			}
+			winner[i] = g
+		}
+	}
+	for i := 0; i < claims; i++ {
+		g, ok := winner[i]
+		if !ok {
+			t.Fatalf("claim %d has no winner", i)
+		}
+		if kv, ok := c.Get(fmt.Sprintf("/claim/%d", i)); !ok || !bytes.Equal(kv.Value, []byte{byte(g)}) {
+			t.Fatalf("claim %d holds %v, winner was %d", i, kv.Value, g)
+		}
+	}
+	for g := 0; g < workers; g++ {
+		kv, ok := c.Get(fmt.Sprintf("/own/%d", g))
+		if !ok || string(kv.Value) != fmt.Sprintf("%d-%d", g, puts-1) || kv.Version != puts {
+			t.Fatalf("worker %d final = %q version %d", g, kv.Value, kv.Version)
+		}
+	}
+	// Every put and exactly one CAS per claim took a revision.
+	if rev, want := c.Revision(), int64(workers*puts+claims); rev != want {
+		t.Fatalf("revision = %d, want %d", rev, want)
+	}
+	c.Ticks(30)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	want := c.stores[c.leaderLocked()].Serialize()
+	for _, id := range c.ids {
+		if !bytes.Equal(c.stores[id].Serialize(), want) {
+			t.Errorf("replica %d diverged from the leader", id)
+		}
 	}
 }
 

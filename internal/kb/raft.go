@@ -2,7 +2,7 @@ package kb
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"myrtus/internal/sim"
 )
@@ -293,11 +293,17 @@ func (n *Node) send(m Message) {
 	n.msgs = append(n.msgs, m)
 }
 
-// ReadMessages drains the outbox.
-func (n *Node) ReadMessages() []Message {
-	out := n.msgs
-	n.msgs = nil
-	return out
+// ReadMessages drains the outbox into a fresh slice the caller owns.
+func (n *Node) ReadMessages() []Message { return n.appendMessages(nil) }
+
+// appendMessages drains the outbox onto dst. The outbox keeps its
+// backing array, so a transport that reuses dst drains without
+// allocating.
+func (n *Node) appendMessages(dst []Message) []Message {
+	dst = append(dst, n.msgs...)
+	clear(n.msgs)
+	n.msgs = n.msgs[:0]
+	return dst
 }
 
 // Tick advances the node's logical clock by one tick.
@@ -361,8 +367,9 @@ func (n *Node) sendAppend(to NodeID) {
 		return
 	}
 	var ents []Entry
-	for i := prev + 1; i <= n.LastIndex(); i++ {
-		ents = append(ents, n.entryAt(i))
+	if tail := n.log[prev-n.snapIndex+1:]; len(tail) > 0 {
+		ents = make([]Entry, len(tail))
+		copy(ents, tail)
 	}
 	n.send(Message{
 		Type:     MsgApp,
@@ -517,12 +524,14 @@ func (n *Node) maybeCommit() {
 	if n.role != Leader {
 		return
 	}
-	matches := make([]uint64, 0, len(n.peers))
+	var buf [8]uint64
+	matches := buf[:0]
 	for _, p := range n.peers {
 		matches = append(matches, n.match[p])
 	}
-	sort.Slice(matches, func(i, j int) bool { return matches[i] > matches[j] })
-	candidate := matches[n.quorum()-1]
+	slices.Sort(matches)
+	// The quorum-th highest match index is replicated on a quorum.
+	candidate := matches[len(matches)-n.quorum()]
 	// candidate > commit ≥ snapIndex, so termAt is always available here.
 	if candidate > n.commit && n.termAt(candidate) == n.term {
 		n.commit = candidate
@@ -555,14 +564,17 @@ func (n *Node) handleSnap(m Message) {
 // TakeCommitted returns entries newly committed since the last call,
 // advancing the applied cursor. Sentinel/no-op entries (nil data) are
 // filtered out.
-func (n *Node) TakeCommitted() []Entry {
-	var out []Entry
+func (n *Node) TakeCommitted() []Entry { return n.appendCommitted(nil) }
+
+// appendCommitted is TakeCommitted onto dst, for a host that reuses its
+// apply buffer.
+func (n *Node) appendCommitted(dst []Entry) []Entry {
 	for n.applied < n.commit {
 		n.applied++
 		e := n.entryAt(n.applied)
 		if len(e.Data) > 0 {
-			out = append(out, e)
+			dst = append(dst, e)
 		}
 	}
-	return out
+	return dst
 }

@@ -17,8 +17,10 @@
 package kb
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -242,54 +244,92 @@ func (s *Store) CompactedRevision() int64 {
 	return s.compacted
 }
 
+// imageMagic opens a Serialize image and doubles as its format version.
+const imageMagic = 0xB1
+
 // Serialize renders the store's live state (latest version of every key
 // plus the revision counter) for snapshot transfer. History is not
 // carried — a snapshot is a compaction by definition.
+//
+// Layout: magic byte; varint revision and compaction floor; uvarint key
+// count; per key in sorted order, uvarint-length-prefixed key and value,
+// then varint create revision, mod revision, version and lease; a
+// big-endian CRC-32 of everything before it. Sorted keys make the image
+// byte-deterministic, so replicas at the same applied index agree.
 func (s *Store) Serialize() []byte {
 	s.mu.RLock()
-	snap := storeImage{Revision: s.rev, Compacted: s.rev}
-	for key := range s.keys {
-		if kv, ok := s.getLocked(key, s.rev); ok {
-			snap.KVs = append(snap.KVs, kv)
+	defer s.mu.RUnlock()
+	keys := make([]string, 0, len(s.keys))
+	size := 1 + varintLen(s.rev)*2 + 4
+	for key, hist := range s.keys {
+		v := hist[len(hist)-1]
+		if v.tombstone {
+			continue
 		}
+		keys = append(keys, key)
+		size += uvarintLen(uint64(len(key))) + len(key) + uvarintLen(uint64(len(v.value))) + len(v.value) +
+			varintLen(v.createRev) + varintLen(v.rev) + varintLen(v.version) + varintLen(v.lease)
 	}
-	s.mu.RUnlock()
-	sort.Slice(snap.KVs, func(i, j int) bool { return snap.KVs[i].Key < snap.KVs[j].Key })
-	data, err := json.Marshal(snap)
-	if err != nil {
-		// All fields are plain data; marshalling cannot fail in practice.
-		panic(fmt.Sprintf("kb: serializing store: %v", err))
+	slices.Sort(keys)
+	size += uvarintLen(uint64(len(keys)))
+	b := make([]byte, 0, size)
+	b = append(b, imageMagic)
+	b = binary.AppendVarint(b, s.rev)
+	b = binary.AppendVarint(b, s.rev) // compaction floor
+	b = binary.AppendUvarint(b, uint64(len(keys)))
+	for _, key := range keys {
+		hist := s.keys[key]
+		v := hist[len(hist)-1]
+		b = appendBytes(b, key)
+		b = appendBytes(b, v.value)
+		b = binary.AppendVarint(b, v.createRev)
+		b = binary.AppendVarint(b, v.rev)
+		b = binary.AppendVarint(b, v.version)
+		b = binary.AppendVarint(b, v.lease)
 	}
-	return data
+	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
 // Restore replaces the store's contents with a Serialize image,
 // preserving per-key revisions and the revision counter so replicas stay
-// aligned.
+// aligned. A bad magic byte, checksum, length or key order is an error
+// and leaves the store untouched.
 func (s *Store) Restore(data []byte) error {
-	var snap storeImage
-	if err := json.Unmarshal(data, &snap); err != nil {
+	if len(data) < 1+4 || data[0] != imageMagic {
+		return fmt.Errorf("kb: corrupt store snapshot: not a store image")
+	}
+	body := data[:len(data)-4]
+	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(data[len(data)-4:]) {
+		return fmt.Errorf("kb: corrupt store snapshot: checksum mismatch")
+	}
+	r := wireReader{b: body[1:]}
+	rev, compacted := r.varint(), r.varint()
+	n := r.uvarint()
+	if n > uint64(len(r.b)) { // every key takes at least one byte
+		return fmt.Errorf("kb: corrupt store snapshot: %d keys in %d bytes", n, len(r.b))
+	}
+	keys := make(map[string][]keyVersion, n)
+	prev := ""
+	for i := uint64(0); i < n && r.err == nil; i++ {
+		key := string(r.bytes())
+		value := r.bytes()
+		kv := keyVersion{createRev: r.varint(), rev: r.varint(), version: r.varint(), lease: r.varint()}
+		if i > 0 && key <= prev {
+			return fmt.Errorf("kb: corrupt store snapshot: key %q out of order", key)
+		}
+		prev = key
+		kv.value = append([]byte(nil), value...)
+		keys[key] = []keyVersion{kv}
+	}
+	if err := r.done(); err != nil {
 		return fmt.Errorf("kb: corrupt store snapshot: %w", err)
 	}
 	s.mu.Lock()
-	s.keys = make(map[string][]keyVersion, len(snap.KVs))
-	for _, kv := range snap.KVs {
-		s.keys[kv.Key] = []keyVersion{{
-			rev: kv.ModRevision, value: append([]byte(nil), kv.Value...),
-			createRev: kv.CreateRevision, version: kv.Version, lease: kv.Lease,
-		}}
-	}
-	s.rev = snap.Revision
-	s.compacted = snap.Compacted
+	s.keys = keys
+	s.rev = rev
+	s.compacted = compacted
 	s.mu.Unlock()
 	return nil
-}
-
-// storeImage is the snapshot wire format.
-type storeImage struct {
-	Revision  int64 `json:"revision"`
-	Compacted int64 `json:"compacted"`
-	KVs       []KV  `json:"kvs"`
 }
 
 // Keys returns all live keys (sorted), mainly for diagnostics.
